@@ -33,6 +33,7 @@ from .errors import InsufficientDataError, StreamFormatError, ValidationError
 STREAM_MAGIC = b"IPWTAG01"
 _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "<u4"), ("reserved", "<u4")])
 _SIM_CHUNK = 1_000_000  # trials per generation chunk; fixed so streams are seed-reproducible
+_CSV_BLOCK_ROWS = 65_536  # CSV rows formatted per write; bounds the text held in memory
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class SourceModel:
     p_emit).  tau_e is the exponential emission delay in ps.  dark_rate is
     per detector, leakage_rate is the collected leakage click rate at the
     splitter input; both in Hz and active only inside the gate.  dead_time
-    (ps) and afterpulse_prob are inert hooks defaulting to off.
+    (ps, default 0 = off) drops any click that follows the previous kept
+    click of the same detector by less than dead_time.
     """
 
     p_emit: float = 0.1
@@ -79,10 +81,9 @@ class SourceModel:
     dark_rate: float = 0.0
     leakage_rate: float = 0.0
     dead_time: int = 0
-    afterpulse_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_emit", "p_double", "eta", "afterpulse_prob"):
+        for name in ("p_emit", "p_double", "eta"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name}={value} outside [0, 1]")
@@ -190,17 +191,6 @@ def simulate_stream(
     times = np.concatenate(all_times) if all_times else np.empty(0, np.int64)
     channels = np.concatenate(all_channels) if all_channels else np.empty(0, np.uint32)
 
-    if model.afterpulse_prob > 0.0 and times.size:
-        spawn = rng.random(times.size) < model.afterpulse_prob
-        extra_delay = np.floor(rng.exponential(model.tau_e, int(spawn.sum()))).astype(np.int64)
-        base = times[spawn]
-        spawn_channels = channels[spawn]
-        gate_start = base - (base - timing.gate_offset) % timing.rep_period
-        extra_t = base + 1 + extra_delay
-        keep = extra_t < gate_start + gw
-        times = np.concatenate([times, extra_t[keep]])
-        channels = np.concatenate([channels, spawn_channels[keep]])
-
     order = np.lexsort((channels, times))
     times, channels = times[order], channels[order]
 
@@ -233,8 +223,7 @@ class CoincidenceHistogram:
 
     def write_csv(self, fileobj) -> None:
         fileobj.write("tau_ps,count\n")
-        for t, c in zip(self.tau, self.counts):
-            fileobj.write(f"{t},{c}\n")
+        _write_int_rows(fileobj, self.tau, self.counts)
 
 
 def _pair_delays(stream: ClickStream, max_delay: int) -> np.ndarray:
@@ -312,28 +301,76 @@ def g2_from_counts(
     return G2Result(g2=g2, sigma=math.sqrt(var), n_zero=int(n_zero), n_norm=float(n_norm), window=window)
 
 
-def _window_counts(
-    stream: ClickStream, timing: ExperimentTiming, window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial click counts inside the analysis window, per channel."""
-    trial = stream.times // timing.rep_period
-    pos = stream.times - trial * timing.rep_period - timing.gate_offset
-    in_window = (pos >= 0) & (pos < window)
-    if not in_window.any():
-        return np.zeros(1, np.int64), np.zeros(1, np.int64)
-    trial = trial[in_window]
-    channel = stream.channels[in_window]
-    n = int(trial.max()) + 1
-    c0 = np.bincount(trial[channel == 0], minlength=n)
-    c1 = np.bincount(trial[channel == 1], minlength=n)
-    return c0, c1
+class _GateClicks:
+    """The in-gate clicks of a stream, indexed by the trials that have any.
+
+    Built once per stream, so that counting a window costs in proportion to
+    the clicks in the gate, not to the number of trials: same-trial and
+    shifted-trial products are joins on the ids of active trials (the
+    asynchronous time-tag correlation of Wahl et al. 2003, Opt. Express 11,
+    3583).  Per channel, `slots` holds each click's index among the active
+    trial ids and `pos` its position in the gate; `shifts[k - 1]` holds the
+    index pairs (a, b) of active trials with ids[b] == ids[a] + k, for
+    k = 1 .. max_shift.
+    """
+
+    def __init__(self, stream: ClickStream, timing: ExperimentTiming, max_shift: int):
+        trial, pos = np.divmod(stream.times, timing.rep_period)
+        pos -= timing.gate_offset
+        in_gate = (pos >= 0) & (pos < timing.gate_width)
+        trial, pos, channel = trial[in_gate], pos[in_gate], stream.channels[in_gate]
+        # the stream is time-sorted, so trial ids never decrease
+        first = np.ones(trial.size, bool)
+        first[1:] = trial[1:] != trial[:-1]
+        ids = trial[first]
+        del trial  # drop per-click arrays once used: they set the peak memory
+        slot = np.cumsum(first)
+        slot -= 1
+        self.n_active = ids.size
+        is0 = channel == 0
+        self.slots = (slot[is0], slot[~is0])
+        self.pos = (pos[is0], pos[~is0])
+        del slot, pos
+        # ids are unique and increasing, so ids[a] + k can only sit at b = a + d, d <= k
+        self.shifts = []
+        for k in range(1, max_shift + 1):
+            a = [np.flatnonzero(ids[d:] - ids[:-d] == k) for d in range(1, k + 1)]
+            b = [a_d + d for d, a_d in enumerate(a, start=1)]
+            self.shifts.append((np.concatenate(a), np.concatenate(b)))
+
+    def n_in_window(self, window: int) -> int:
+        return sum(int(np.count_nonzero(p < window)) for p in self.pos)
+
+    def counts(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Clicks per active trial inside the analysis window, per channel."""
+        c0, c1 = (
+            np.bincount(s[p < window], minlength=self.n_active) for s, p in zip(self.slots, self.pos)
+        )
+        return c0, c1
+
+    def peaks(self, c0: np.ndarray, c1: np.ndarray, n_peaks: int) -> list[float]:
+        """Cross-attempt coincidences sum_i c0[i] * c1[i + k], for k = +1, -1, +2, -2, ..."""
+        out = []
+        for a, b in self.shifts[: (n_peaks + 1) // 2]:
+            out += [float(np.dot(c0[a], c1[b])), float(np.dot(c0[b], c1[a]))]
+        return out[:n_peaks]
+
+    def g2(self, window: int, n_norm_peaks: int) -> G2Result:
+        c0, c1 = self.counts(window)
+        n_zero = int(np.dot(c0, c1))
+        n_norm = float(np.mean(self.peaks(c0, c1, n_norm_peaks)))
+        if n_norm == 0.0:
+            raise InsufficientDataError(
+                f"no cross-attempt coincidences in the nearest {n_norm_peaks} peaks"
+            )
+        return g2_from_counts(n_zero, n_norm, n_peaks=n_norm_peaks, window=window)
 
 
-def _shifted_pairs(c0: np.ndarray, c1: np.ndarray, k: int) -> float:
-    """Coincidence count between attempts i and i+k: sum_i c0[i] * c1[i+k]."""
-    if k >= 0:
-        return float(np.dot(c0[: c0.size - k], c1[k:])) if k < c0.size else 0.0
-    return float(np.dot(c0[-k:], c1[: c1.size + k])) if -k < c1.size else 0.0
+def _check_g2_args(timing: ExperimentTiming, window: int, n_norm_peaks: int) -> None:
+    if window <= 0 or window > timing.gate_width:
+        raise ValidationError(f"window={window} outside (0, gate_width]")
+    if n_norm_peaks < 2:
+        raise ValidationError("n_norm_peaks must be >= 2")
 
 
 def g2_zero(
@@ -348,20 +385,8 @@ def g2_zero(
     Normalization is the mean over the nearest n_norm_peaks cross-attempt
     peaks (k = +1, -1, +2, -2, ...).
     """
-    if window <= 0 or window > timing.gate_width:
-        raise ValidationError(f"window={window} outside (0, gate_width]")
-    if n_norm_peaks < 2:
-        raise ValidationError("n_norm_peaks must be >= 2")
-    c0, c1 = _window_counts(stream, timing, window)
-    n_zero = int(np.dot(c0, c1))
-    peaks = [_shifted_pairs(c0, c1, (j + 1) // 2 * (1 if j % 2 else -1)) for j in range(1, n_norm_peaks + 1)]
-    n_norm = float(np.mean(peaks))
-    if n_norm == 0.0:
-        raise InsufficientDataError(
-            f"no cross-attempt coincidences in the nearest {n_norm_peaks} peaks"
-        )
-    result = g2_from_counts(n_zero, n_norm, n_peaks=n_norm_peaks, window=window)
-    return result
+    _check_g2_args(timing, window, n_norm_peaks)
+    return _GateClicks(stream, timing, (n_norm_peaks + 1) // 2).g2(window, n_norm_peaks)
 
 
 @dataclass
@@ -383,14 +408,14 @@ def g2_window_scan(
         raise ValidationError("window grid must be strictly increasing")
     if windows[-1] > timing.gate_width:
         raise ValidationError("windows cannot exceed the gate width")
-    gate0, gate1 = _window_counts(stream, timing, timing.gate_width)
-    total_in_gate = int(gate0.sum() + gate1.sum())
+    for w in windows:
+        _check_g2_args(timing, w, n_norm_peaks)
+    clicks = _GateClicks(stream, timing, (n_norm_peaks + 1) // 2)
+    total_in_gate = clicks.n_in_window(timing.gate_width)
     points = []
     for w in windows:
-        res = g2_zero(stream, timing, w, n_norm_peaks=n_norm_peaks)
-        c0, c1 = _window_counts(stream, timing, w)
-        frac = (int(c0.sum() + c1.sum()) / total_in_gate) if total_in_gate else 0.0
-        points.append(WindowScanPoint(window=w, result=res, collected_fraction=frac))
+        frac = clicks.n_in_window(w) / total_in_gate if total_in_gate else 0.0
+        points.append(WindowScanPoint(window=w, result=clicks.g2(w, n_norm_peaks), collected_fraction=frac))
     return points
 
 
@@ -447,6 +472,14 @@ def expected_g2(
 # ---------------------------------------------------------------------------
 
 
+def _write_int_rows(fileobj, first: np.ndarray, second: np.ndarray) -> None:
+    """Write "first,second" rows of two integer columns, one block of rows per write."""
+    for start in range(0, first.size, _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        values = np.column_stack((first[block], second[block])).ravel().tolist()
+        fileobj.write("%d,%d\n" * (len(values) // 2) % tuple(values))
+
+
 def write_stream_binary(stream: ClickStream, path) -> None:
     records = np.zeros(len(stream), dtype=_RECORD_DTYPE)
     records["time"] = stream.times
@@ -484,8 +517,7 @@ def read_stream_binary(path) -> ClickStream:
 def write_stream_csv(stream: ClickStream, path) -> None:
     with open(path, "w") as fh:
         fh.write("channel,time_ps\n")
-        for c, t in zip(stream.channels, stream.times):
-            fh.write(f"{c},{t}\n")
+        _write_int_rows(fh, stream.channels, stream.times)
 
 
 def read_stream_csv(path) -> ClickStream:

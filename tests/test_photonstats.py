@@ -1,12 +1,16 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_g2_zero, dense_window_scan, peak_shifts
 from ionphoton.errors import InsufficientDataError, StreamFormatError, ValidationError
 from ionphoton.photonstats import (
+    _GateClicks,
     ClickStream,
     ExperimentTiming,
     SourceModel,
@@ -234,6 +238,105 @@ class TestWindowScan:
             g2_window_scan(stream, TIMING, [30_000, 30_000])
 
 
+def _sorted_stream(times, channels) -> ClickStream:
+    times = np.asarray(times, np.int64)
+    channels = np.asarray(channels, np.int64)
+    order = np.lexsort((channels, times))
+    return ClickStream(times[order], channels[order])
+
+
+def _outcome(fn, *args, **kwargs):
+    """A function's result, or the type and message of the InsufficientDataError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except InsufficientDataError as exc:
+        return ("InsufficientDataError", str(exc))
+
+
+@st.composite
+def gated_streams(draw):
+    """Small sorted streams with a late gate; clicks also fall before and after it."""
+    rep_period = 1_000
+    gate_offset = draw(st.integers(1, 400))
+    gate_width = draw(st.integers(1, rep_period - gate_offset))
+    timing = ExperimentTiming(
+        rep_period=rep_period, gate_offset=gate_offset, gate_width=gate_width, pulse_duration=1
+    )
+    n_trials = draw(st.integers(1, 12))
+    in_gate = st.integers(gate_offset, gate_offset + gate_width - 1)
+    anywhere = st.integers(0, rep_period - 1)
+    records = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_trials - 1), st.one_of(in_gate, anywhere), st.integers(0, 1)),
+            max_size=40,
+        )
+    )
+    stream = _sorted_stream(
+        [t * rep_period + pos for t, pos, _ in records], [c for _, _, c in records]
+    )
+    windows = sorted(draw(st.sets(st.integers(1, gate_width), min_size=1, max_size=5)))
+    n_norm_peaks = draw(st.integers(2, 7))
+    return stream, timing, windows, n_norm_peaks
+
+
+class TestSparseCountingAgainstDenseReference:
+    @given(gated_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_g2_zero_and_scan_equal_dense_reference(self, case):
+        stream, timing, windows, n_peaks = case
+        for w in windows:
+            assert _outcome(g2_zero, stream, timing, w, n_norm_peaks=n_peaks) == _outcome(
+                dense_g2_zero, stream, timing, w, n_norm_peaks=n_peaks
+            )
+        assert _outcome(g2_window_scan, stream, timing, windows, n_norm_peaks=n_peaks) == _outcome(
+            dense_window_scan, stream, timing, windows, n_norm_peaks=n_peaks
+        )
+
+    @given(gated_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_channel_swap_maps_peak_plus_k_to_minus_k(self, case):
+        stream, timing, windows, n_peaks = case
+        swapped = _sorted_stream(stream.times, 1 - stream.channels.astype(np.int64))
+        max_shift = (n_peaks + 1) // 2
+        clicks, swapped_clicks = _GateClicks(stream, timing, max_shift), _GateClicks(swapped, timing, max_shift)
+        by_k = dict(zip(peak_shifts(n_peaks), clicks.peaks(*clicks.counts(windows[-1]), n_peaks)))
+        swapped_by_k = dict(
+            zip(peak_shifts(n_peaks), swapped_clicks.peaks(*swapped_clicks.counts(windows[-1]), n_peaks))
+        )
+        for k in by_k:
+            if -k in by_k:
+                assert swapped_by_k[k] == by_k[-k]
+
+    def test_clicks_outside_the_gate_leave_both_sides_without_data(self):
+        timing = ExperimentTiming(rep_period=1_000, gate_offset=300, gate_width=200, pulse_duration=1)
+        # every click lands before the gate offset or at or after the gate end
+        stream = _sorted_stream([0, 299, 1_000 + 500, 1_000 + 999, 2_100, 2_700], [0, 1, 0, 1, 1, 0])
+        for fn in (g2_zero, dense_g2_zero):
+            with pytest.raises(InsufficientDataError, match="nearest 4 peaks"):
+                fn(stream, timing, 200)
+
+    def test_memory_stays_flat_for_late_trial_indices(self):
+        # ten clicks in clusters of adjacent trials, the last at trial 1e11: a
+        # per-trial array over all trials would need about 800 GB
+        trials = [0, 1, 2, 10**9, 10**9 + 1, 5 * 10**10, 5 * 10**10 + 1, 10**11 - 2, 10**11 - 1, 10**11]
+        channels = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+        stream = _sorted_stream([t * TIMING.rep_period + 1_000 for t in trials], channels)
+        # the same clusters moved close together, gaps still wider than every peak shift
+        compact_trials = [0, 1, 2, 10, 11, 20, 21, 30, 31, 32]
+        compact = _sorted_stream([t * TIMING.rep_period + 1_000 for t in compact_trials], channels)
+        windows = [30_000, TIMING.gate_width]
+        tracemalloc.start()
+        try:
+            result = g2_zero(stream, TIMING, 30_000)
+            scan = g2_window_scan(stream, TIMING, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert result == dense_g2_zero(compact, TIMING, 30_000)
+        assert scan == dense_window_scan(compact, TIMING, windows)
+
+
 stream_records = st.lists(
     st.tuples(st.integers(0, 10_000_000), st.integers(0, 1)), min_size=0, max_size=200
 )
@@ -257,6 +360,20 @@ class TestStreamFiles:
             assert read_stream(path) == stream
         finally:
             os.unlink(path)
+
+    def test_csv_writers_match_per_row_formatting(self, tmp_path):
+        # more clicks than one block of rows per write
+        stream = simulate_stream(quiet_model(p_emit=0.9, p_double=0.3), TIMING, 70_000, seed=4)
+        assert len(stream) > 65_536
+        path = tmp_path / "clicks.csv"
+        write_stream_csv(stream, path)
+        rows = "".join(f"{c},{t}\n" for c, t in zip(stream.channels, stream.times))
+        assert path.read_text() == "channel,time_ps\n" + rows
+        hist = coincidence_histogram(stream, TIMING, bin_width=1_000, max_delay=5 * TIMING.rep_period)
+        out = io.StringIO()
+        hist.write_csv(out)
+        rows = "".join(f"{t},{c}\n" for t, c in zip(hist.tau, hist.counts))
+        assert out.getvalue() == "tau_ps,count\n" + rows
 
     def test_csv_roundtrip(self, tmp_path):
         stream = simulate_stream(quiet_model(p_emit=0.7), TIMING, 500, seed=3)
