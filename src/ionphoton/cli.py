@@ -53,7 +53,6 @@ from .geometry import (
 from .photonstats import (
     coincidence_histogram,
     g2_window_scan,
-    g2_zero,
     read_stream,
     simulate_stream,
     write_scan_csv,
@@ -129,12 +128,13 @@ def _analyze_stream(cfg: RunConfig, stream, args) -> int:
     hist = coincidence_histogram(stream, cfg.g2_timing, cfg.g2_bin_width, cfg.g2_max_delay)
     with _csv_out(cfg, "g2_histogram.csv", args.gnuplot, "histogram") as fh:
         hist.write_csv(fh)
-    scan = g2_window_scan(
-        stream, cfg.g2_timing, cfg.g2_window_grid, n_norm_peaks=cfg.g2_n_norm_peaks
-    )
+    # one click index serves the scan and the summary: the summary window joins the scan
+    windows = sorted(set(cfg.g2_window_grid) | {cfg.g2_window})
+    scan = g2_window_scan(stream, cfg.g2_timing, windows, n_norm_peaks=cfg.g2_n_norm_peaks)
+    by_window = {p.window: p for p in scan}
     with _csv_out(cfg, "g2_window_scan.csv", args.gnuplot, "scan") as fh:
-        write_scan_csv(scan, fh)
-    res = g2_zero(stream, cfg.g2_timing, cfg.g2_window, n_norm_peaks=cfg.g2_n_norm_peaks)
+        write_scan_csv([by_window[w] for w in cfg.g2_window_grid], fh)
+    res = by_window[cfg.g2_window].result
     with _csv_out(cfg, "g2_summary.csv") as fh:
         fh.write("window_ns,g2,g2_sigma,n_zero,n_norm\n")
         fh.write(
@@ -163,7 +163,10 @@ def cmd_g2_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_g2_analyze(cfg: RunConfig, args) -> int:
-    stream = read_stream(args.input)
+    try:
+        stream = read_stream(args.input)
+    except OSError as exc:
+        raise ValidationError(f"{args.input}: {exc.strerror or exc}") from None
     return _analyze_stream(cfg, stream, args)
 
 

@@ -22,7 +22,9 @@ subtraction is performed anywhere.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,6 +36,9 @@ STREAM_MAGIC = b"IPWTAG01"
 _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "<u4"), ("reserved", "<u4")])
 _SIM_CHUNK = 1_000_000  # trials per generation chunk; fixed so streams are seed-reproducible
 _CSV_BLOCK_ROWS = 65_536  # CSV rows formatted per write; bounds the text held in memory
+_READ_CHUNK = 65_536  # binary records per read; bounds the memory above the final arrays
+_CSV_HEADER = "channel,time_ps"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -104,28 +109,35 @@ class ClickStream:
 
     def __init__(self, times, channels):
         self.times = np.ascontiguousarray(times, dtype=np.int64)
+        channels = np.asarray(channels)
+        self._validate(channels)
         self.channels = np.ascontiguousarray(channels, dtype=np.uint32)
-        self._validate()
 
-    def _validate(self):
-        if self.times.shape != self.channels.shape or self.times.ndim != 1:
+    def _validate(self, channels: np.ndarray):
+        """Checks on the channels as given, before the uint32 cast, so a bad value is reported as written.
+
+        Order is checked by comparing adjacent elements: a few bytes per
+        record, with no int64 differences.
+        """
+        t = self.times
+        if t.shape != channels.shape or t.ndim != 1:
             raise StreamFormatError("times and channels must be 1-D arrays of equal length")
-        if self.times.size == 0:
+        if t.size == 0:
             return
-        bad = np.nonzero(self.channels > 1)[0]
-        if bad.size:
-            raise StreamFormatError(
-                f"record {bad[0]}: channel {self.channels[bad[0]]} not in {{0, 1}}"
-            )
-        if self.times[0] < 0:
+        bad = channels > 1
+        if channels.dtype.kind != "u":
+            bad |= channels < 0
+        if bad.any():
+            first = int(bad.argmax())
+            raise StreamFormatError(f"record {first}: channel {channels[first]} not in {{0, 1}}")
+        if t[0] < 0:
             raise StreamFormatError("record 0: negative timestamp")
-        dt = np.diff(self.times)
-        dch = np.diff(self.channels.astype(np.int64))
-        bad = np.nonzero((dt < 0) | ((dt == 0) & (dch < 0)))[0]
-        if bad.size:
-            raise StreamFormatError(
-                f"record {bad[0] + 1}: stream not sorted by (time, channel)"
-            )
+        bad = t[1:] < t[:-1]
+        tie = t[1:] == t[:-1]
+        tie &= channels[1:] < channels[:-1]
+        bad |= tie
+        if bad.any():
+            raise StreamFormatError(f"record {int(bad.argmax()) + 1}: stream not sorted by (time, channel)")
 
     def __len__(self) -> int:
         return self.times.size
@@ -301,6 +313,11 @@ def g2_from_counts(
     return G2Result(g2=g2, sigma=math.sqrt(var), n_zero=int(n_zero), n_norm=float(n_norm), window=window)
 
 
+def _int_dtype(limit: int) -> type:
+    """int32 if it holds every integer in [0, limit], else int64."""
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+
+
 class _GateClicks:
     """The in-gate clicks of a stream, indexed by the trials that have any.
 
@@ -318,19 +335,27 @@ class _GateClicks:
         trial, pos = np.divmod(stream.times, timing.rep_period)
         pos -= timing.gate_offset
         in_gate = (pos >= 0) & (pos < timing.gate_width)
-        trial, pos, channel = trial[in_gate], pos[in_gate], stream.channels[in_gate]
+        # per-click arrays set the peak memory: filter and split them one at
+        # a time, drop each once it is used, and keep positions and slots in
+        # int32 where they fit
+        pos = pos[in_gate].astype(_int_dtype(timing.gate_width))
+        trial = trial[in_gate]
+        is0 = stream.channels[in_gate] == 0
+        del in_gate
         # the stream is time-sorted, so trial ids never decrease
         first = np.ones(trial.size, bool)
         first[1:] = trial[1:] != trial[:-1]
         ids = trial[first]
-        del trial  # drop per-click arrays once used: they set the peak memory
-        slot = np.cumsum(first)
+        del trial
+        slot = np.cumsum(first, dtype=_int_dtype(ids.size))
+        del first
         slot -= 1
         self.n_active = ids.size
-        is0 = channel == 0
-        self.slots = (slot[is0], slot[~is0])
-        self.pos = (pos[is0], pos[~is0])
-        del slot, pos
+        is1 = ~is0
+        self.slots = (slot[is0], slot[is1])
+        del slot
+        self.pos = (pos[is0], pos[is1])
+        del pos
         # ids are unique and increasing, so ids[a] + k can only sit at b = a + d, d <= k
         self.shifts = []
         for k in range(1, max_shift + 1):
@@ -491,6 +516,7 @@ def write_stream_binary(stream: ClickStream, path) -> None:
 
 
 def read_stream_binary(path) -> ClickStream:
+    """Load a binary stream in chunks of records, straight into the final arrays."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16:
@@ -498,43 +524,88 @@ def read_stream_binary(path) -> ClickStream:
         if header[:8] != STREAM_MAGIC:
             raise StreamFormatError(f"{path}: bad magic {header[:8]!r}")
         (count,) = struct.unpack("<Q", header[8:])
-        payload = fh.read()
-    if len(payload) != count * _RECORD_DTYPE.itemsize:
-        raise StreamFormatError(
-            f"{path}: header promises {count} records but payload holds "
-            f"{len(payload) // _RECORD_DTYPE.itemsize}"
-        )
-    records = np.frombuffer(payload, dtype=_RECORD_DTYPE)
-    bad = np.nonzero(records["reserved"] != 0)[0]
-    if bad.size:
-        raise StreamFormatError(f"{path}: record {bad[0]}: reserved field nonzero")
+        payload_bytes = os.fstat(fh.fileno()).st_size - len(header)
+        if payload_bytes != count * _RECORD_DTYPE.itemsize:
+            raise StreamFormatError(
+                f"{path}: header promises {count} records but payload holds "
+                f"{payload_bytes // _RECORD_DTYPE.itemsize}"
+            )
+        times = np.empty(count, np.int64)
+        channels = np.empty(count, np.uint32)
+        for start in range(0, count, _READ_CHUNK):
+            stop = min(start + _READ_CHUNK, count)
+            records = np.fromfile(fh, _RECORD_DTYPE, count=stop - start)
+            if records.size < stop - start:  # the file shrank after its size was checked
+                raise StreamFormatError(
+                    f"{path}: header promises {count} records but payload holds {start + records.size}"
+                )
+            bad = np.flatnonzero(records["reserved"])
+            if bad.size:
+                raise StreamFormatError(f"{path}: record {start + bad[0]}: reserved field nonzero")
+            np.copyto(times[start:stop], records["time"], casting="unsafe")
+            channels[start:stop] = records["channel"]
     try:
-        return ClickStream(records["time"].astype(np.int64), records["channel"])
+        return ClickStream(times, channels)
     except StreamFormatError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
 def write_stream_csv(stream: ClickStream, path) -> None:
     with open(path, "w") as fh:
-        fh.write("channel,time_ps\n")
+        fh.write(_CSV_HEADER + "\n")
         _write_int_rows(fh, stream.channels, stream.times)
 
 
-def read_stream_csv(path) -> ClickStream:
+def _parse_int_rows(fh) -> Optional[np.ndarray]:
+    """The rest of fh as an (n, 2) int64 array, or None if any line is not two plain integers.
+
+    Whatever this accepts, the per-line reader accepts with the same values:
+    blank lines are skipped by both, and "#", header, float, hex, out-of-range
+    and wrong-width lines make this return None.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file holds no rows
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 truncates "1.5" with this warning
+        try:
+            rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def _read_csv_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line parse: skips blank, "#" and header lines anywhere, and names the first bad line."""
     channels, times = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#") or line == "channel,time_ps":
+            if not line or line.startswith("#") or line == _CSV_HEADER:
                 continue
             try:
                 c, t = line.split(",")
-                channels.append(int(c))
-                times.append(int(t))
+                c, t = int(c), int(t)
             except ValueError:
                 raise StreamFormatError(f"{path}: line {lineno}: unparseable record {line!r}") from None
+            if not (_INT64.min <= c <= _INT64.max and _INT64.min <= t <= _INT64.max):
+                raise StreamFormatError(f"{path}: line {lineno}: value outside int64 in record {line!r}")
+            channels.append(c)
+            times.append(t)
+    return np.asarray(channels, np.int64), np.asarray(times, np.int64)
+
+
+def read_stream_csv(path) -> ClickStream:
+    """Load a CSV stream.
+
+    A file in the writer's own format (the header line, then integer rows)
+    is parsed in one vectorised call.  Any other layout, and any file with a
+    bad line, goes through the per-line reader, which gives the same stream
+    and reports the first bad line.
+    """
+    with open(path) as fh:
+        rows = _parse_int_rows(fh) if fh.readline().strip() == _CSV_HEADER else None
+    channels, times = _read_csv_lines(path) if rows is None else (rows[:, 0], rows[:, 1])
     try:
-        return ClickStream(np.asarray(times, np.int64), np.asarray(channels, np.int64))
+        return ClickStream(times, channels)
     except StreamFormatError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 

@@ -6,6 +6,7 @@ import pytest
 from ionphoton.cli import main
 from ionphoton.config import load_config
 from ionphoton.errors import ValidationError
+from ionphoton.photonstats import g2_zero, read_stream
 
 
 def read_rows(path):
@@ -164,6 +165,47 @@ class TestG2Command:
         err = capsys.readouterr().err
         assert err.startswith("error: validation:")
         assert "records" in err or "record" in err
+
+    def test_missing_input_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert main(["g2", "analyze", "--input", str(missing), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: validation: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,99999999999999999999", "line 2: value outside int64 in record '1,99999999999999999999'"),
+            ("-1,100", "record 0: channel -1 not in {0, 1}"),
+        ],
+    )
+    def test_out_of_range_csv_value_is_validation_error(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "clicks.csv"
+        bad.write_text(f"channel,time_ps\n{row}\n")
+        assert main(["g2", "analyze", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: validation: {bad}: {message}\n"
+
+    def test_summary_window_off_the_scan_grid(self, tmp_path):
+        # default window grid; 25 ns is not on it, 30 ns is
+        base = "[g2]\nn_trials = 30000\np_emit = 0.9\np_double = 0.3\n"
+        off = write_config(tmp_path / "off.ini", base + "window_ns = 25\n")
+        on = write_config(tmp_path / "on.ini", base + "window_ns = 30\n")
+        assert main(["g2", "simulate", "--config", off, "--out", str(tmp_path / "off")]) == 0
+        assert main(["g2", "simulate", "--config", on, "--out", str(tmp_path / "on")]) == 0
+
+        cfg = load_config(off)
+        res = g2_zero(read_stream(tmp_path / "off" / "clicks.ipw"), cfg.g2_timing, 25_000, cfg.g2_n_norm_peaks)
+        row = f"25,{res.g2:.12g},{res.sigma:.12g},{res.n_zero},{res.n_norm:.12g}"
+        summary = (tmp_path / "off" / "g2_summary.csv").read_text().splitlines()
+        assert summary[-2:] == ["window_ns,g2,g2_sigma,n_zero,n_norm", row]
+
+        def without_provenance(path):
+            return [line for line in path.read_bytes().splitlines() if not line.startswith(b"# config=")]
+
+        scan_off = without_provenance(tmp_path / "off" / "g2_window_scan.csv")
+        assert scan_off == without_provenance(tmp_path / "on" / "g2_window_scan.csv")
+        assert [line.split(b",")[0] for line in scan_off[2:]] == [
+            b"5", b"10", b"15", b"20", b"30", b"50", b"100", b"150", b"200"
+        ]
 
     def test_gnuplot_scripts_emitted(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", FAST_G2)

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -7,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_reference import reference_read_stream_csv
 from dense_reference import dense_g2_zero, dense_window_scan, peak_shifts
+from ionphoton import photonstats
 from ionphoton.errors import InsufficientDataError, StreamFormatError, ValidationError
 from ionphoton.photonstats import (
+    _READ_CHUNK,
+    _RECORD_DTYPE,
     _GateClicks,
     ClickStream,
     ExperimentTiming,
@@ -336,6 +342,20 @@ class TestSparseCountingAgainstDenseReference:
         assert result == dense_g2_zero(compact, TIMING, 30_000)
         assert scan == dense_window_scan(compact, TIMING, windows)
 
+    def test_gate_positions_beyond_int32_equal_dense_reference(self):
+        # gate positions are kept as int32 only while the gate is shorter than 2**31 ps
+        timing = ExperimentTiming(rep_period=2**33, gate_offset=2**20, gate_width=2**32, pulse_duration=1)
+        trials = [0, 0, 1, 1, 2, 3, 3, 4, 5, 6]
+        offsets = [5, 2**31 + 7, 3, 2**32 - 1, 2**31, 1, 2**31 + 1, 9, 2**31 - 2, 2**32 - 5]
+        channels = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1]
+        stream = _sorted_stream(
+            [t * timing.rep_period + timing.gate_offset + o for t, o in zip(trials, offsets)], channels
+        )
+        windows = [2**31 - 1, 2**31 + 2, 2**31 + 8, 2**32]
+        for w in windows:
+            assert g2_zero(stream, timing, w, n_norm_peaks=2) == dense_g2_zero(stream, timing, w, n_norm_peaks=2)
+        assert g2_window_scan(stream, timing, windows, 2) == dense_window_scan(stream, timing, windows, 2)
+
 
 stream_records = st.lists(
     st.tuples(st.integers(0, 10_000_000), st.integers(0, 1)), min_size=0, max_size=200
@@ -424,3 +444,124 @@ class TestStreamFiles:
         path.write_bytes(bytes(data))
         with pytest.raises(StreamFormatError, match="reserved"):
             read_stream_binary(path)
+
+    def test_binary_reader_holds_the_final_arrays_plus_one_chunk(self, tmp_path):
+        stream = simulate_stream(quiet_model(p_emit=0.9, p_double=0.3), TIMING, 200_000, seed=8)
+        path = tmp_path / "clicks.ipw"
+        write_stream_binary(stream, path)
+        assert len(stream) > 3 * _READ_CHUNK
+        tracemalloc.start()
+        try:
+            loaded = read_stream_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == stream
+        final = loaded.times.nbytes + loaded.channels.nbytes
+        assert peak <= 2 * final + _READ_CHUNK * _RECORD_DTYPE.itemsize
+
+    def test_reserved_field_reported_at_its_record_past_the_first_chunk(self, tmp_path):
+        n = _READ_CHUNK + 10
+        stream = ClickStream(np.arange(n), np.zeros(n))
+        path = tmp_path / "clicks.ipw"
+        write_stream_binary(stream, path)
+        data = bytearray(path.read_bytes())
+        data[16 + (n - 3) * _RECORD_DTYPE.itemsize + 12] = 1  # reserved field of record n - 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError, match=f"record {n - 3}: reserved field nonzero"):
+            read_stream_binary(path)
+
+    def test_time_outside_int64_names_path_and_line(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("channel,time_ps\n0,5\n1,99999999999999999999\n")
+        with pytest.raises(StreamFormatError) as info:
+            read_stream_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: value outside int64 in record '1,99999999999999999999'"
+        )
+
+    def test_negative_channel_reported_as_written(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("channel,time_ps\n-1,100\n")
+        with pytest.raises(StreamFormatError) as info:
+            read_stream_csv(path)
+        assert str(info.value) == f"{path}: record 0: channel -1 not in {{0, 1}}"
+
+    def test_writer_format_parses_without_the_per_line_reader(self, tmp_path, monkeypatch):
+        stream = simulate_stream(quiet_model(p_emit=0.7), TIMING, 500, seed=3)
+        path = tmp_path / "clicks.csv"
+        write_stream_csv(stream, path)
+        # padded fields, "+" signs, CRLF and blank lines are plain integer rows too
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes(b"channel,time_ps\r\n +0 , 7\r\n\r\n1,\t+9\r\n")
+
+        def per_line_reader(path):
+            raise AssertionError(f"{path} took the per-line reader")
+
+        monkeypatch.setattr(photonstats, "_read_csv_lines", per_line_reader)
+        assert read_stream_csv(path) == stream
+        assert read_stream_csv(padded) == ClickStream([7, 9], [0, 1])
+
+
+@st.composite
+def csv_stream_files(draw) -> bytes:
+    """CSV streams in every layout the per-line reader accepts, a third of them with one bad row.
+
+    Fields may be padded and signed; blank, "#" and header lines may sit
+    anywhere; the header may be missing or misplaced; lines end in LF or CRLF.
+    """
+    records = draw(
+        st.lists(
+            st.tuples(st.one_of(st.integers(0, 10**6), st.integers(-5, 2**63 - 1)), st.sampled_from([0, 1])),
+            max_size=25,
+        )
+    )
+    if draw(st.integers(0, 4)):
+        records.sort()
+    if records and draw(st.integers(0, 5)) == 0:
+        records[draw(st.integers(0, len(records) - 1))] = (records[-1][0], draw(st.sampled_from([2, -1])))
+    pad = st.sampled_from(["", "", "", " ", "\t"])
+    sign = st.sampled_from(["", "", "+"])
+    lines = [
+        f"{draw(pad)}{draw(sign)}{c}{draw(pad)},{draw(pad)}{draw(sign)}{t}{draw(pad)}".replace("+-", "-")
+        for t, c in records
+    ]
+    if lines and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        t, c = records[i]
+        bad_rows = [f"{c},{t}.0", f"{c}.5,{t}", f"{c},{hex(t)}", f"{c},{t:e}", f"{c},", f",{t}",
+                    f"{c},{t},0", f"{c}", ",", f"{c};{t}", f"{c},{t} # note"]
+        lines[i] = draw(st.sampled_from(bad_rows))
+    if draw(st.integers(0, 3)) == 0:
+        for _ in range(draw(st.integers(1, 3))):
+            extra = ["", "  ", "# comment", "  #x,1", "channel,time_ps", " channel,time_ps "]
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(extra)))
+    header = draw(st.sampled_from(["first"] * 4 + ["none", "padded", "misplaced"]))
+    if header == "first":
+        lines.insert(0, "channel,time_ps")
+    elif header == "padded":
+        lines.insert(0, "  channel,time_ps\t")
+    elif header == "misplaced":
+        lines.insert(draw(st.integers(0, len(lines))), "channel,time_ps")
+        lines.insert(0, "# stream")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode()
+
+
+def _read_outcome(reader, path):
+    try:
+        stream = reader(path)
+    except StreamFormatError as exc:
+        return "error", str(exc)
+    return "stream", stream.times.tolist(), stream.channels.tolist()
+
+
+class TestCsvReaderOracle:
+    @given(csv_stream_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_line_reference(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "clicks.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            assert _read_outcome(read_stream_csv, path) == _read_outcome(reference_read_stream_csv, path)
