@@ -12,11 +12,13 @@ The sigma-minus drive couples the two Delta-m = -1 transitions on the red
 line, D3/2(+3/2) <-> P1/2(+1/2) and D3/2(+1/2) <-> P1/2(-1/2), with relative
 Rabi amplitudes set by the square roots of their Clebsch-Gordan weights.
 
-Evolution is a master equation with channel-resolved jump operators,
-integrated with a classical fixed-step fourth-order Runge-Kutta rule.  The
-generator is linear, so total probability (trace plus sinks) is conserved to
-rounding at every step; convergence is checked by step halving rather than
-adaptive control, which keeps scans bit-reproducible.
+Evolution is a master equation with channel-resolved jump operators.  Its
+generator is linear and constant on each segment (drive on, drive off), so
+the state is propagated exactly by the matrix exponential (scipy.linalg.expm,
+the scaling-and-squaring algorithm of Al-Mohy and Higham 2009).  With the
+drive off, D3/2 is dark and every entry with a P1/2 index decays unfed, so the
+decay tail to t -> infinity is taken in closed form.  Total probability
+(trace plus sinks) is conserved to rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .atomic import AtomSpec, Sublevel, Term, decay_channels
 from .errors import ValidationError
@@ -69,17 +72,16 @@ class PulseSpec:
     t_p: float
     omega: Optional[float] = None
     detuning: float = 0.0
-    shape: str = "square"
 
     def __post_init__(self):
-        if not self.t_p > 0:
-            raise ValidationError(f"t_p={self.t_p} must be positive")
-        if self.shape != "square":
-            raise ValidationError(f"unsupported pulse shape {self.shape!r}")
+        if not 0 < self.t_p < math.inf:
+            raise ValidationError(f"t_p={self.t_p} must be positive and finite")
+        if not math.isfinite(self.detuning):
+            raise ValidationError(f"detuning={self.detuning} must be finite")
         if self.omega is None:
             object.__setattr__(self, "omega", math.pi / self.t_p)
-        if self.omega < 0:
-            raise ValidationError("omega must be nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise ValidationError(f"omega={self.omega} must be nonnegative and finite")
 
 
 class DynamicState:
@@ -203,15 +205,17 @@ def _generator(atom: AtomSpec, omega: float, detuning: float) -> np.ndarray:
     return gen
 
 
-def _rk4_step_matrix(gen: np.ndarray, dt: float) -> np.ndarray:
-    """One-step transfer matrix of classical RK4 for the linear system y' = G y."""
-    step = np.eye(_SIZE, dtype=complex)
-    term = np.eye(_SIZE, dtype=complex)
-    scaled = gen * dt
-    for k in (1, 2, 3, 4):
-        term = term @ scaled / k
-        step = step + term
-    return step
+def _decay_tail(free: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """State y evolved under the drive-free generator to t -> infinity.
+
+    Every entry with a decay rate r_i = -G[i, i] > 0 (the P1/2 populations
+    and every coherence with a P1/2 index) is fed by no other decaying entry,
+    so it falls as y_i exp(-r_i t) and hands y_i G[j, i] / r_i to each entry j
+    it feeds: the D3/2 populations and the sinks.
+    """
+    rate = -free.diagonal().real
+    decaying = rate > 0
+    return y + free[:, decaying] @ (y[decaying] / rate[decaying])
 
 
 def _check_dt(atom: AtomSpec, omega: float, dt: float) -> None:
@@ -239,8 +243,8 @@ def evolve(
 
     The drive is on for t in [0, t_p) and off afterwards; t_end must be at
     least t_p.  Returns the sampled trajectory including both segment
-    boundaries.  Steps are sized so each segment is covered by an integer
-    number of equal steps no larger than dt.
+    boundaries.  Records are spaced so each segment is covered by an integer
+    number of equal steps no larger than dt; each step is exact.
     """
     _check_dt(atom, pulse.omega, dt)
     if t_end < pulse.t_p * (1 - 1e-12):
@@ -260,7 +264,7 @@ def evolve(
     for length, gen in segments:
         nsteps = max(1, math.ceil(length / dt - 1e-12))
         h = length / nsteps
-        step = _rk4_step_matrix(gen, h)
+        step = expm(gen * h)
         for i in range(1, nsteps + 1):
             y = step @ y
             if i % record_stride == 0 or i == nsteps:
@@ -279,46 +283,21 @@ def double_excitation_error(
     """Fraction of ground-state population fed by the wrong P1/2 sublevel.
 
     Starts from the D3/2(+3/2) stretch state, applies an area-pi square pulse
-    (omega = pi/t_p), then lets the system decay freely until the sink totals
-    have converged (at least 15 lifetimes, in 5-lifetime chunks until the
-    total changes by < 1e-9).  Returns (bad sinks) / (all sinks).
+    (omega = pi/t_p) with one matrix exponential, then lets the system decay
+    freely to completion in closed form.  Returns (bad sinks) / (all sinks).
 
-    When dt is omitted, the pulse segment is stepped at min(tau_e/400,
-    t_p/200) and the drive-free tail at tau_e/400 (the tail has no Rabi
-    timescale to resolve).  An explicit dt is used for both segments.
+    Both segments are exact, so dt sets no step: when given it is only
+    validated as evolve() validates it.  A propagation that overflows to a
+    non-finite state raises FloatingPointError naming t_p.
     """
-    if not t_p > 0:
-        raise ValidationError(f"t_p={t_p} must be positive")
     pulse = PulseSpec(t_p=t_p, detuning=detuning)
-    if dt is None:
-        pulse_dt = min(atom.tau_e / 400.0, t_p / 200.0)
-        tail_dt = atom.tau_e / 400.0
-    else:
-        pulse_dt = tail_dt = dt
-    _check_dt(atom, pulse.omega, pulse_dt)
-    _check_dt(atom, 0.0, tail_dt)
-
+    if dt is not None:
+        _check_dt(atom, pulse.omega, dt)
     y = _pack(DynamicState.pure(Sublevel(Term.D32, +1.5)))
-
-    n_pulse = max(1, math.ceil(t_p / pulse_dt - 1e-12))
-    step = _rk4_step_matrix(_generator(atom, pulse.omega, detuning), t_p / n_pulse)
-    for _ in range(n_pulse):
-        y = step @ y
-
-    chunk = 5.0 * atom.tau_e
-    n_tail = max(1, math.ceil(chunk / tail_dt - 1e-12))
-    step = _rk4_step_matrix(_generator(atom, 0.0, 0.0), chunk / n_tail)
-    sink_slice = slice(_DIM * _DIM, None)
-    previous = float(y[sink_slice].real.sum())
-    for n_chunks in range(1, 17):
-        for _ in range(n_tail):
-            y = step @ y
-        current = float(y[sink_slice].real.sum())
-        if n_chunks >= 3 and current - previous < 1e-9:
-            break
-        previous = current
-
-    sinks = y[sink_slice].real
+    y = expm(_generator(atom, pulse.omega, detuning) * t_p) @ y
+    sinks = _decay_tail(_generator(atom, 0.0, 0.0), y)[_DIM * _DIM :].real
+    if not np.all(np.isfinite(sinks)):
+        raise FloatingPointError(f"t_p={t_p} ns: propagation gave non-finite populations")
     total = sinks.sum()
     if total <= 0.0:
         return 0.0
@@ -329,7 +308,6 @@ def scan_pulse_durations(
     atom: AtomSpec,
     t_p_grid,
     detuning: float = 0.0,
-    dt: Optional[float] = None,
 ) -> ErrorCurve:
     """Double-excitation error evaluated pointwise over a grid of pulse times."""
     grid = np.asarray(t_p_grid, dtype=float)
@@ -337,7 +315,5 @@ def scan_pulse_durations(
         raise ValidationError("pulse duration grid is empty")
     if not np.all(grid > 0):
         raise ValidationError("pulse durations must be positive")
-    eps = np.array(
-        [double_excitation_error(atom, tp, detuning=detuning, dt=dt) for tp in grid]
-    )
+    eps = np.array([double_excitation_error(atom, tp, detuning=detuning) for tp in grid])
     return ErrorCurve(t_p=grid, epsilon_d=eps)

@@ -78,9 +78,7 @@ def _csv_out(cfg: RunConfig, name: str, gnuplot: bool = False, plot_kind: str | 
 
 
 def cmd_bloch(cfg: RunConfig, args) -> int:
-    curve = scan_pulse_durations(
-        cfg.atom, cfg.bloch_grid_ns, detuning=cfg.bloch_detuning, dt=cfg.bloch_dt
-    )
+    curve = scan_pulse_durations(cfg.atom, cfg.bloch_grid_ns, detuning=cfg.bloch_detuning)
     with _csv_out(cfg, "bloch_error_curve.csv", args.gnuplot, "bloch") as fh:
         curve.write_csv(fh)
     worst = curve.epsilon_d.max()

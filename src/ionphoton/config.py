@@ -44,7 +44,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "bloch": {
         "t_p_grid_ns": (_floats, "1,2,5,10,20,50"),
         "detuning_rad_per_ns": (float, "0.0"),
-        "dt_ns": (_optional_float, ""),
     },
     "aperture": {
         "na_list": (_floats, "0.6"),
@@ -100,7 +99,6 @@ class RunConfig:
     atom: AtomSpec
     bloch_grid_ns: tuple[float, ...]
     bloch_detuning: float
-    bloch_dt: Optional[float]
     aperture_na_list: tuple[float, ...]
     aperture_circular_max: float
     aperture_n_points: int
@@ -169,8 +167,10 @@ def load_config(
 
     atom = AtomSpec(tau_e=atom_v["tau_e_ns"], branch_s=atom_v["branch_s"])
     grid = bloch["t_p_grid_ns"]
-    if grid and (min(grid) <= 0):
-        raise ValidationError("bloch pulse durations must be positive")
+    if not all(0 < t_p < math.inf for t_p in grid):
+        raise ValidationError("bloch pulse durations must be positive and finite")
+    if not math.isfinite(bloch["detuning_rad_per_ns"]):
+        raise ValidationError("bloch detuning_rad_per_ns must be finite")
 
     if not ap["na_list"]:
         raise ValidationError("aperture na_list must not be empty")
@@ -229,7 +229,6 @@ def load_config(
         atom=atom,
         bloch_grid_ns=grid,
         bloch_detuning=bloch["detuning_rad_per_ns"],
-        bloch_dt=bloch["dt_ns"],
         aperture_na_list=ap["na_list"],
         aperture_circular_max=math.radians(ap["circular_max_half_angle_deg"]),
         aperture_n_points=ap["n_points"],

@@ -601,9 +601,12 @@ def read_stream_csv(path) -> ClickStream:
     bad line, goes through the per-line reader, which gives the same stream
     and reports the first bad line.
     """
-    with open(path) as fh:
-        rows = _parse_int_rows(fh) if fh.readline().strip() == _CSV_HEADER else None
-    channels, times = _read_csv_lines(path) if rows is None else (rows[:, 0], rows[:, 1])
+    try:
+        with open(path) as fh:
+            rows = _parse_int_rows(fh) if fh.readline().strip() == _CSV_HEADER else None
+        channels, times = _read_csv_lines(path) if rows is None else (rows[:, 0], rows[:, 1])
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{path}: not a text stream: {exc}") from None
     try:
         return ClickStream(times, channels)
     except StreamFormatError as exc:

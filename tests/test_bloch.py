@@ -1,13 +1,22 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from bloch_reference import rk4_double_excitation_error
 from ionphoton.atomic import AtomSpec, Sublevel, Term
 from ionphoton.bloch import (
     DynamicState,
     ErrorCurve,
     PulseSpec,
+    _decay_tail,
+    _generator,
+    _pack,
+    _unpack,
     double_excitation_error,
     evolve,
     scan_pulse_durations,
@@ -111,6 +120,62 @@ class TestDoubleExcitationError:
     def test_detuning_parameter_accepted(self):
         eps = double_excitation_error(ATOM, 10.0, detuning=0.05)
         assert 0.0 < eps < 1.0
+
+    def test_very_long_pulse_is_finite(self):
+        eps = double_excitation_error(ATOM, 1e6)
+        assert math.isfinite(eps)
+        assert 0.0 < eps < 1e-5
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t_p": math.inf}, {"t_p": math.nan}, {"t_p": 10.0, "detuning": math.nan},
+         {"t_p": 10.0, "detuning": -math.inf}, {"t_p": 10.0, "omega": math.inf}],
+    )
+    def test_non_finite_pulse_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            PulseSpec(**kwargs)
+
+    def test_overflowing_propagation_names_the_pulse(self):
+        with pytest.raises(FloatingPointError, match=r"t_p=1e\+100 ns"):
+            double_excitation_error(ATOM, 1e100)
+
+
+class TestAgainstRK4Reference:
+    @pytest.mark.parametrize("t_p", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 1000.0])
+    def test_exact_value_matches_rk4(self, t_p):
+        exact = double_excitation_error(ATOM, t_p)
+        assert exact == pytest.approx(rk4_double_excitation_error(ATOM, t_p), rel=2e-9)
+
+    def test_rk4_converges_to_exact_at_fourth_order(self):
+        exact = double_excitation_error(ATOM, 5.0)
+        gaps = [
+            abs(rk4_double_excitation_error(ATOM, 5.0, dt=ATOM.tau_e / n) - exact)
+            for n in (400, 800, 1600)
+        ]
+        assert all(fine <= coarse / 8 for coarse, fine in zip(gaps, gaps[1:]))
+
+
+class TestDecayTail:
+    @given(
+        log_t_p=st.floats(-2.0, 4.0),
+        detuning=st.floats(-1.0, 1.0),
+        tau_e=st.floats(1.0, 100.0),
+        branch_s=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_tail_is_the_long_time_limit(self, log_t_p, detuning, tau_e, branch_s):
+        atom = AtomSpec(tau_e=tau_e, branch_s=branch_s)
+        pulse = PulseSpec(t_p=10.0**log_t_p, detuning=detuning)
+        start = _pack(DynamicState.pure(Sublevel(Term.D32, +1.5)))
+        y = expm(_generator(atom, pulse.omega, detuning) * pulse.t_p) @ start
+        free = _generator(atom, 0.0, 0.0)
+        final = _unpack(_decay_tail(free, y))
+        long_time = _unpack(expm(free * 60.0 * tau_e) @ y)
+        assert np.max(np.abs(final.sinks - long_time.sinks)) < 1e-13
+        d32 = sum(final.population(Sublevel(Term.D32, m)) for m in (-1.5, -0.5, 0.5, 1.5))
+        assert abs(final.sink_total() + d32 - 1.0) < 1e-12
+        eps = double_excitation_error(atom, pulse.t_p, detuning=detuning)
+        assert 0.0 <= eps <= 1.0
 
 
 class TestScan:

@@ -97,6 +97,21 @@ class TestBlochCommand:
             out2 / "bloch_error_curve.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("t_p_grid_ns = 1,inf", 2, "validation: bloch pulse durations must be positive and finite"),
+            ("detuning_rad_per_ns = nan", 2, "validation: bloch detuning_rad_per_ns must be finite"),
+            ("t_p_grid_ns = 1,1e300", 3, "runtime: t_p=1e+300 ns: propagation gave non-finite populations"),
+            ("t_p_grid_ns = 1,1e100", 3, "runtime: t_p=1e+100 ns: propagation gave non-finite populations"),
+        ],
+    )
+    def test_non_finite_or_overflowing_pulse_is_categorised(self, tmp_path, capsys, line, code, message):
+        cfg = write_config(tmp_path / "c.ini", f"[bloch]\n{line}\n")
+        assert main(["bloch", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bloch_error_curve.csv").exists()
+
 
 class TestApertureCommand:
     def test_curves_and_anchors(self, tmp_path):
@@ -183,6 +198,13 @@ class TestG2Command:
         bad.write_text(f"channel,time_ps\n{row}\n")
         assert main(["g2", "analyze", "--input", str(bad), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: validation: {bad}: {message}\n"
+
+    def test_non_utf8_csv_stream_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "clicks.csv"
+        bad.write_bytes(b"\xff\xfe0,1\n")
+        assert main(["g2", "analyze", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {bad}: not a text stream:")
 
     def test_summary_window_off_the_scan_grid(self, tmp_path):
         # default window grid; 25 ns is not on it, 30 ns is
