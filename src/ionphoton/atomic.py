@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from .errors import ValidationError
 
@@ -158,8 +158,18 @@ class TransitionChannel:
             raise ValidationError(f"cg2={self.cg2} outside [0, 1]")
 
 
+_CHANNELS: tuple[TransitionChannel, ...] = ()
+
+
 def dipole_channels() -> tuple[TransitionChannel, ...]:
-    """All allowed decay channels out of the two P1/2 sublevels."""
+    """All allowed decay channels out of the two P1/2 sublevels.
+
+    The table depends on no input, so its exact Racah sums run once per
+    process; every call returns the same immutable tuple.
+    """
+    global _CHANNELS
+    if _CHANNELS:
+        return _CHANNELS
     channels = []
     for m_up in (-0.5, +0.5):
         upper = Sublevel(Term.P12, m_up)
@@ -176,7 +186,8 @@ def dipole_channels() -> tuple[TransitionChannel, ...]:
                 channels.append(
                     TransitionChannel(upper, Sublevel(term, m_low), int(q), weight, wavelength)
                 )
-    return tuple(channels)
+    _CHANNELS = tuple(channels)
+    return _CHANNELS
 
 
 @dataclass(frozen=True)
@@ -193,8 +204,8 @@ class AtomSpec:
     channels: tuple[TransitionChannel, ...] = field(default_factory=dipole_channels)
 
     def __post_init__(self):
-        if not self.tau_e > 0:
-            raise ValidationError(f"tau_e={self.tau_e} must be positive")
+        if not 0 < self.tau_e < inf:
+            raise ValidationError(f"tau_e={self.tau_e} must be positive and finite")
         if not 0.0 < self.branch_s < 1.0:
             raise ValidationError(f"branch_s={self.branch_s} outside (0, 1)")
 

@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A numerical integral failed to reach the requested accuracy."""
+    """A numerical integral or root search failed to reach the requested accuracy."""
 
 
 class StreamFormatError(ValidationError):

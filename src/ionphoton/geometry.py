@@ -14,9 +14,10 @@ local phi_hat component onto H, pointwise over the aperture.
 Two aperture shapes are supported: a circular cone of half-angle alpha1
 about +x, and the same cone with horizontal stops that keep only
 theta in [pi/2 - alpha2, pi/2 + alpha2].  For either shape the azimuthal
-extent at fixed theta is known in closed form, so every collection integral
-reduces to an adaptive 1-D quadrature in theta with the aperture boundary
-resolved analytically (no indicator discontinuities).
+extent at fixed z = cos(theta) is known in closed form, so every collection
+integral is an elementary integral in z and is evaluated exactly
+(`_aperture_moments`); results are accurate to float rounding at every
+aperture, including cones wider than a hemisphere.
 
 Channel weights for the collected blue decays (sigma-plus and pi out of
 P1/2(+1/2)) are taken from the atomic model, not hard-coded, so the
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .atomic import AtomSpec, Sublevel, Term, Wavelength, decay_channels
 from .errors import ConditioningError, QuadratureError, ValidationError
@@ -115,60 +115,43 @@ def pattern_amplitude(q: int, theta: float, phi: float) -> EmissionAmplitude:
     return EmissionAmplitude(q, theta, phi, complex(pref * math.cos(theta)), complex(pref * 1j * q))
 
 
-def _phi_half_width(theta: float, alpha1: float) -> float:
-    """Azimuthal half-extent of the cone about +x at polar angle theta."""
-    s = math.sin(theta)
-    c1 = math.cos(alpha1)
-    if s < 1e-300:
-        return math.pi if c1 <= 0.0 else 0.0
-    x = c1 / s
-    if x >= 1.0:
-        return 0.0
-    if x <= -1.0:
-        return math.pi
-    return math.acos(x)
+def _aperture_moments(aperture: ApertureSpec) -> tuple[float, float, float]:
+    """(i0, i2, j) over the aperture, in closed form.
 
-
-def _theta_range(aperture: ApertureSpec) -> tuple[float, float]:
-    half = aperture.alpha2 if aperture.kind == SLIT else aperture.alpha1
-    return max(0.0, math.pi / 2 - half), min(math.pi, math.pi / 2 + half)
-
-
-def _quad(f, lo: float, hi: float, epsabs: float) -> float:
-    out = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"aperture integral did not converge: {out[3]}")
-    value, abserr = out[0], out[1]
-    if abserr > max(epsabs, 1e-13):
-        raise QuadratureError(
-            f"aperture integral error estimate {abserr:.2e} exceeds requested {epsabs:.2e}"
-        )
-    return value
-
-
-def _aperture_moments(aperture: ApertureSpec, tol: float) -> tuple[float, float]:
-    """(integral of dOmega, integral of cos^2(theta) dOmega) over the aperture."""
+    i0 is the integral of dOmega, i2 of cos^2(theta) dOmega and j of the
+    direction cosine along the collection axis, sin(theta) cos(phi) dOmega.
+    At fixed z = cos(theta) the cone spans |phi| <= dphi(z) with
+    cos(dphi) = cos(alpha1) / sqrt(1 - z^2), clipped to [0, pi], and the slit
+    keeps |z| <= h = sin(min(alpha2, pi/2)); each moment is then elementary
+    in z.  1 - cos(alpha1) is taken as 2 sin^2(alpha1/2) and the slit terms
+    are grouped so that small apertures keep their digits.
+    """
     a1 = aperture.alpha1
-    lo, hi = _theta_range(aperture)
-
-    def ring(theta: float) -> float:
-        return 2.0 * _phi_half_width(theta, a1) * math.sin(theta)
-
-    i0 = _quad(ring, lo, hi, epsabs=max(min(tol, 1e-10), 1e-13))
-    i2 = _quad(lambda th: math.cos(th) ** 2 * ring(th), lo, hi, epsabs=max(tol * i0, 1e-13))
-    return i0, i2
+    c, a = math.cos(a1), math.sin(a1)
+    m = 2.0 * math.sin(0.5 * a1) ** 2  # 1 - c
+    if aperture.kind == CIRCULAR:
+        return 2.0 * math.pi * m, math.pi * m * m * (2.0 + c) / 3.0, math.pi * a * a
+    h = math.sin(min(aperture.alpha2, 0.5 * math.pi))
+    b = min(h, a)
+    r = math.sqrt((a - b) * (a + b))
+    phi_b = math.atan2(r, c)  # dphi(b)
+    s = math.atan2(b, r)  # asin(b / a)
+    # f = c * integral_0^b z^2 / ((1 - z^2) sqrt(a^2 - z^2)) dz
+    #   = atan2(c b, r) - c s, with the two near-equal angles differenced exactly
+    f = m * s - math.atan2(m * b * r, r * r + c * b * b)
+    g = 0.5 * (a * a * s - b * r)  # integral_0^b z^2 / sqrt(a^2 - z^2) dz
+    i0 = 4.0 * (b * phi_b + f)
+    i2 = 4.0 * (b**3 * phi_b + f - c * g) / 3.0
+    j = 2.0 * (b * r + a * a * s)
+    if h > a:  # for |z| > a, a cone wider than a hemisphere spans every phi
+        i0 += 4.0 * math.pi * (h - a)
+        i2 += 4.0 * math.pi * (h**3 - a**3) / 3.0
+    return i0, i2, j
 
 
 def solid_angle(aperture: ApertureSpec) -> float:
-    """Solid angle of the aperture in steradians.
-
-    Closed form 2*pi*(1 - cos(alpha1)) for circular apertures; numerical
-    integration of the cone/slit intersection otherwise.
-    """
-    if aperture.kind == CIRCULAR:
-        return 2.0 * math.pi * (1.0 - math.cos(aperture.alpha1))
-    i0, _ = _aperture_moments(aperture, tol=1e-12)
-    return i0
+    """Solid angle of the aperture in steradians, in closed form."""
+    return _aperture_moments(aperture)[0]
 
 
 @dataclass(frozen=True)
@@ -221,14 +204,14 @@ def collection_probabilities(
 ) -> CollectionProbabilities:
     """Integrate the channel-weighted H/V/pi intensities over the aperture.
 
-    tol is the absolute accuracy of each returned probability; quadrature
-    failures raise rather than degrade silently.
+    The aperture moments are exact, so each probability is accurate to float
+    rounding; tol, the accuracy the caller asks for, is only range-checked.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValidationError(f"tol={tol} outside (0, 1e-3]")
     atom = atom or AtomSpec()
     w_sigma, w_pi = _collected_weights(atom)
-    i0, i2 = _aperture_moments(aperture, tol)
+    i0, i2, _ = _aperture_moments(aperture)
     if i0 <= 0.0:
         raise QuadratureError("aperture has vanishing solid angle")
     u_sigma_h = w_sigma * SIGMA_NORM * i0
@@ -266,18 +249,12 @@ def coherence_overlap(aperture: ApertureSpec, tol: float = 1e-9) -> float:
     Includes the e^(i phi) geometric phase of the sigma amplitude, so values
     below 1 quantify how much aperture-averaged phase mismatch would reduce
     the usable coherence.  Provided for sensitivity studies; the default
-    error model uses kappa = 1.
+    error model uses kappa = 1.  tol is range-checked as in
+    collection_probabilities; the overlap is exact.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValidationError(f"tol={tol} outside (0, 1e-3]")
-    a1 = aperture.alpha1
-    lo, hi = _theta_range(aperture)
-    i0, i2 = _aperture_moments(aperture, tol)
-
-    def overlap_ring(theta: float) -> float:
-        return 2.0 * math.sin(_phi_half_width(theta, a1)) * math.sin(theta) ** 2
-
-    j = _quad(overlap_ring, lo, hi, epsabs=max(tol * i0, 1e-13))
+    i0, i2, j = _aperture_moments(aperture)
     denom = math.sqrt(i0 * (i0 - i2))
     if denom <= 0.0:
         raise ConditioningError("pi intensity vanishes over this aperture")

@@ -204,6 +204,15 @@ class TestAtomSpec:
         with pytest.raises(ValidationError):
             AtomSpec(branch_s=1.0)
 
+    @pytest.mark.parametrize("tau_e", [math.inf, math.nan])
+    def test_rejects_non_finite_lifetime(self, tau_e):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            AtomSpec(tau_e=tau_e)
+
+    def test_channel_table_is_built_once(self):
+        assert dipole_channels() is dipole_channels()
+        assert AtomSpec().channels is AtomSpec(tau_e=3.0).channels
+
     def test_exact_fraction_of_default_weights(self):
         atom = AtomSpec()
         weights = sorted(

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ionphoton
+from geometry_reference import circular_closed_form
 from ionphoton.cli import main
 from ionphoton.config import load_config
 from ionphoton.errors import ValidationError
@@ -73,6 +79,25 @@ class TestConfig:
         assert a.config_hash != b.config_hash
 
 
+class TestStartup:
+    def test_cli_import_leaves_out_quadrature_and_root_finding(self):
+        # scipy.integrate pulls in scipy.optimize, sparse and special: about 0.4 s per subcommand
+        code = (
+            "import sys, ionphoton.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        )
+        src = str(Path(ionphoton.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestBlochCommand:
     def test_default_config_meets_error_budget(self, tmp_path, capsys):
         assert main(["bloch", "--out", str(tmp_path)]) == 0
@@ -113,6 +138,15 @@ class TestBlochCommand:
         assert not (tmp_path / "bloch_error_curve.csv").exists()
 
 
+class TestAtomConfig:
+    @pytest.mark.parametrize("command", ["bloch", "aperture", "entangle"])
+    def test_infinite_lifetime_is_validation_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.ini", "[atom]\ntau_e_ns = inf\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: validation: tau_e=inf must be positive and finite\n"
+        assert not any(tmp_path.glob("*.csv"))
+
+
 class TestApertureCommand:
     def test_curves_and_anchors(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[aperture]\nn_points = 12\n")
@@ -136,6 +170,20 @@ class TestApertureCommand:
         assert abs(float(slit_half["solid_angle_sr"]) - half) < 1e-6
         assert abs(float(circ_half["solid_angle_sr"]) - half) < 1e-6
         assert float(slit_half["epsilon"]) < float(circ_half["epsilon"])
+
+    def test_full_sphere_sweep_writes_exact_epsilons(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.ini", "[aperture]\ncircular_max_half_angle_deg = 180\nn_points = 40\n"
+        )
+        assert main(["aperture", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "tradeoff_circular.csv")
+        assert float(rows[-1]["solid_angle_sr"]) == pytest.approx(4 * math.pi, rel=1e-11)
+        for row in rows:
+            # a cone of solid angle omega has cos(alpha1) = 1 - omega / 2pi
+            alpha1 = math.acos(max(-1.0, 1.0 - float(row["solid_angle_sr"]) / (2 * math.pi)))
+            p_h, p_v, p_pi = circular_closed_form(alpha1)
+            eps = 1.0 - (0.5 * (p_h + p_pi) + math.sqrt(p_h * p_pi))
+            assert float(row["epsilon"]) == pytest.approx(eps, abs=1e-11)
 
     def test_invalid_na_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", "[aperture]\nna_list = 1.2\n")

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geometry_reference import circular_closed_form, reference_moments
 from ionphoton.errors import ValidationError
 from ionphoton.geometry import (
     ApertureSpec,
     CollectionProbabilities,
+    _aperture_moments,
     circular_half_angle_for_na,
     coherence_overlap,
     collection_probabilities,
@@ -20,18 +24,6 @@ from mc_reference import mc_collection_probabilities
 
 NA06 = circular_half_angle_for_na(0.6)
 HALF_NA06_SR = 0.2 * math.pi  # half of the NA 0.6 cone's 0.4 pi sr
-
-
-def circular_closed_form(alpha1):
-    """Collection probabilities of a cone about x, via the exact second moment.
-
-    Over a cone of half-angle a about its own axis <cos^2> = (1 + c + c^2)/3
-    with c = cos(a); the transverse direction cosine then has
-    <cos^2 theta_z> = (1 - <cos^2 psi>)/2 = (2 - c - c^2)/6.
-    """
-    c = math.cos(alpha1)
-    mean_z2 = (2.0 - c - c * c) / 6.0
-    return 0.5, 0.5 * mean_z2, 0.5 * (1.0 - mean_z2)
 
 
 class TestPatternAmplitude:
@@ -222,3 +214,51 @@ class TestSolveSlit:
             solve_slit_for_solid_angle(NA06, 2.0)
         with pytest.raises(ValidationError):
             solve_slit_for_solid_angle(NA06, 0.0)
+
+
+def assert_moments_close(got, ref):
+    # the probabilities are ratios to i0, so i0 sets the scale of every moment's error
+    assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-12 * ref[0]
+
+
+class TestClosedFormMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha1=st.floats(min_value=1e-6, max_value=math.pi),
+        fraction=st.floats(min_value=1e-6, max_value=1.0),
+    )
+    def test_slit_against_quadrature_oracle(self, alpha1, fraction):
+        slit = ApertureSpec.slit(alpha1, alpha1 * fraction)
+        i0, i2, j = _aperture_moments(slit)
+        assert_moments_close((i0, i2, j), reference_moments(slit))
+        probs = collection_probabilities(slit)
+        assert probs.p_sigma_h + probs.p_sigma_v + probs.p_pi == pytest.approx(1.0, abs=1e-12)
+        assert -1e-15 * i0 <= i2 <= i0  # i2 carries rounding at the scale of i0
+        assert j <= math.sqrt(i0 * (i0 - i2)) * (1 + 1e-12)
+        circle = ApertureSpec.circular(alpha1)
+        assert_moments_close(_aperture_moments(circle), reference_moments(circle))
+        assert_moments_close(_aperture_moments(ApertureSpec.slit(alpha1, alpha1)), _aperture_moments(circle))
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [ApertureSpec.slit(2.2, 1.5), ApertureSpec.slit(1.7, 1.7)]
+        + [ApertureSpec.circular(a) for a in (1.0, 1.6, 2.2, 3.0)],
+        ids=repr,
+    )
+    def test_wide_apertures_match_the_oracle(self, aperture):
+        i0, i2, _ = reference_moments(aperture)
+        assert solid_angle(aperture) == pytest.approx(i0, rel=1e-13)
+        probs = collection_probabilities(aperture, tol=1e-12)
+        # the two collected channels carry equal weight, so p_sigma_v = i2 / (2 i0)
+        assert probs.p_sigma_v == pytest.approx(0.5 * i2 / i0, abs=1e-13)
+
+    def test_wide_slit_solve(self):
+        alpha2 = solve_slit_for_solid_angle(2.2, 3.0)
+        assert abs(solid_angle(ApertureSpec.slit(2.2, alpha2)) - 3.0) <= 1e-9
+
+    @pytest.mark.parametrize("alpha1", [1e-3, 0.5, NA06, 1.6, 2.2, 2.9135, 3.0, math.pi])
+    def test_circular_matches_closed_form(self, alpha1):
+        probs = collection_probabilities(ApertureSpec.circular(alpha1))
+        expected = circular_closed_form(alpha1)
+        got = (probs.p_sigma_h, probs.p_sigma_v, probs.p_pi)
+        assert max(abs(x - y) for x, y in zip(got, expected)) <= 1e-12
