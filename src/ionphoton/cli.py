@@ -44,6 +44,7 @@ from .errors import (
 from .geometry import (
     ApertureSpec,
     circular_half_angle_for_na,
+    circular_half_angle_for_solid_angle,
     collection_probabilities,
     mixing_fidelity,
     solid_angle,
@@ -89,10 +90,10 @@ def cmd_bloch(cfg: RunConfig, args) -> int:
 def cmd_aperture(cfg: RunConfig, args) -> int:
     tol = cfg.aperture_tol
     anchor_angles = tuple(circular_half_angle_for_na(na) for na in cfg.aperture_na_list)
-    half_circ_anchors = []
-    for alpha in anchor_angles:
-        omega_half = solid_angle(ApertureSpec.circular(alpha)) / 2.0
-        half_circ_anchors.append(math.acos(1.0 - omega_half / (2.0 * math.pi)))
+    half_circ_anchors = tuple(
+        circular_half_angle_for_solid_angle(solid_angle(ApertureSpec.circular(alpha)) / 2.0)
+        for alpha in anchor_angles
+    )
     circular = tradeoff_curve(
         cfg.aperture_circular_max,
         cfg.aperture_n_points,
@@ -100,7 +101,7 @@ def cmd_aperture(cfg: RunConfig, args) -> int:
         tol=tol,
         # anchors falling beyond a user-shrunk sweep range are simply not plotted
         anchors=tuple(
-            a for a in anchor_angles + tuple(half_circ_anchors)
+            a for a in anchor_angles + half_circ_anchors
             if a <= cfg.aperture_circular_max
         ),
     )
@@ -173,7 +174,7 @@ def cmd_entangle(cfg: RunConfig, args) -> int:
     omega_full = solid_angle(ApertureSpec.circular(alpha1))
     apertures = {
         "full": ApertureSpec.circular(alpha1),
-        "circular_stop": ApertureSpec.circular(math.acos(1.0 - omega_full / (4.0 * math.pi))),
+        "circular_stop": ApertureSpec.circular(circular_half_angle_for_solid_angle(omega_full / 2.0)),
         "slit_stop": ApertureSpec.slit(
             alpha1, solve_slit_for_solid_angle(alpha1, omega_full / 2.0)
         ),

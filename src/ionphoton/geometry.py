@@ -86,6 +86,18 @@ def circular_half_angle_for_na(na: float) -> float:
     return math.asin(na)
 
 
+def circular_half_angle_for_solid_angle(omega: float) -> float:
+    """Half-angle of the circular aperture subtending omega steradians.
+
+    omega = 4 pi sin^2(alpha1 / 2) is inverted as 2 asin(sqrt(omega / 4pi)),
+    which keeps its digits for small cones, where acos(1 - omega / 2pi)
+    cancels to zero.
+    """
+    if not 0.0 < omega <= 4.0 * math.pi:
+        raise ValidationError(f"solid angle {omega} outside (0, 4pi]")
+    return 2.0 * math.asin(math.sqrt(omega / (4.0 * math.pi)))
+
+
 @dataclass(frozen=True)
 class EmissionAmplitude:
     """Vector emission amplitude of one decay channel at one direction."""
@@ -289,7 +301,9 @@ def tradeoff_curve(
     kind "slit" sweeps the horizontal-stop half-range alpha2 from near zero
     up to alpha1; kind "circular" sweeps the cone half-angle itself (the
     plain-aperture reference curve).  anchors are extra sweep angles to
-    include exactly (sorted in).
+    include exactly, sorted in with one row each, so the curve always has
+    n_points + len(anchors) rows: an anchor equal to a grid point or to
+    another anchor repeats that row.
     """
     if n_points < 2:
         raise ValidationError("n_points must be >= 2")
@@ -297,7 +311,7 @@ def tradeoff_curve(
         raise ValidationError(f"unknown curve kind {kind!r}")
     grid = np.linspace(alpha1 * 1e-3, alpha1, n_points)
     if anchors:
-        grid = np.unique(np.concatenate([grid, np.asarray(anchors, dtype=float)]))
+        grid = np.sort(np.concatenate([grid, np.asarray(anchors, dtype=float)]))
         if grid.min() <= 0.0 or grid.max() > alpha1 * (1 + 1e-12):
             raise ValidationError("anchor angles must lie in (0, alpha1]")
     omegas = np.empty(grid.size)

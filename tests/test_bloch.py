@@ -14,6 +14,7 @@ from ionphoton.bloch import (
     ErrorCurve,
     PulseSpec,
     _decay_tail,
+    _expm,
     _generator,
     _pack,
     _unpack,
@@ -176,6 +177,54 @@ class TestDecayTail:
         assert abs(final.sink_total() + d32 - 1.0) < 1e-12
         eps = double_excitation_error(atom, pulse.t_p, detuning=detuning)
         assert 0.0 <= eps <= 1.0
+
+
+class TestPade13AgainstScipy:
+    """The numpy Pade-13 exponential against the scipy.linalg.expm oracle on the real generators."""
+
+    @given(
+        log_t_p=st.floats(-9.0, 6.0),
+        detuning=st.floats(-0.2, 0.2),
+        driven=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_propagation_matches_the_oracle(self, log_t_p, detuning, driven):
+        pulse = PulseSpec(t_p=10.0**log_t_p, detuning=detuning)
+        if driven:
+            gen = _generator(ATOM, pulse.omega, detuning)
+            start = _pack(DynamicState.pure(Sublevel(Term.D32, +1.5)))
+        else:
+            gen = _generator(ATOM, 0.0, 0.0)
+            start = _pack(DynamicState.pure(Sublevel(Term.P12, +0.5)))
+        y = _expm(gen * pulse.t_p) @ start
+        oracle = expm(gen * pulse.t_p) @ start
+        assert np.max(np.abs(y - oracle)) < 1e-10
+        assert abs(_unpack(y).total_probability() - 1.0) < 1e-10
+        if driven:
+            sinks = _unpack(_decay_tail(_generator(ATOM, 0.0, 0.0), oracle)).sinks
+            eps = double_excitation_error(ATOM, pulse.t_p, detuning=detuning)
+            assert eps == pytest.approx((sinks[2] + sinks[3]) / sinks.sum(), rel=1e-10)
+
+    @given(log_t_p=st.floats(-9.0, 300.0), detuning=st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_any_pulse_gives_a_probability_or_raises(self, log_t_p, detuning):
+        # from about 1e20 ns every entry underflows, which must raise, not read as epsilon_d = 0
+        try:
+            eps = double_excitation_error(ATOM, 10.0**log_t_p, detuning=detuning)
+        except FloatingPointError as exc:
+            assert "propagation gave non-finite populations" in str(exc)
+        else:
+            assert 0.0 < eps < 1.0
+
+    def test_overflowing_generator_raises(self):
+        # a 1 ps lifetime times 1.7e308 ns overflows the scaled generator itself
+        with pytest.raises(FloatingPointError, match=r"t_p=1\.7e\+308 ns"), np.errstate(over="ignore"):
+            double_excitation_error(AtomSpec(tau_e=1e-3), 1.7e308)
+
+    def test_underflowed_sinks_raise(self):
+        assert 0.0 < double_excitation_error(ATOM, 1e20) < 1e-19
+        with pytest.raises(FloatingPointError, match=r"t_p=1e\+22 ns"):
+            double_excitation_error(ATOM, 1e22)
 
 
 class TestScan:

@@ -97,6 +97,32 @@ class TestStartup:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, ionphoton.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        assert _run_python(code).stdout.strip() == "[]"
+
+    def test_bloch_runs_without_scipy(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "[bloch]\nt_p_grid_ns = 0.001,1,10,1000,1e6\n")
+        assert main(["bloch", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
+        # a None entry in sys.modules makes every "import scipy..." raise ImportError
+        code = "import sys; sys.modules['scipy'] = None; from ionphoton.cli import main; sys.exit(main(sys.argv[1:]))"
+        _run_python(code, "bloch", "--config", cfg, "--out", str(tmp_path / "no_scipy"))
+        name = "bloch_error_curve.csv"
+        assert (tmp_path / "no_scipy" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports ionphoton from this checkout; it must exit 0."""
+    src = str(Path(ionphoton.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+
 
 class TestBlochCommand:
     def test_default_config_meets_error_budget(self, tmp_path, capsys):
@@ -184,6 +210,14 @@ class TestApertureCommand:
             p_h, p_v, p_pi = circular_closed_form(alpha1)
             eps = 1.0 - (0.5 * (p_h + p_pi) + math.sqrt(p_h * p_pi))
             assert float(row["epsilon"]) == pytest.approx(eps, abs=1e-11)
+
+    def test_smallest_na_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", "[aperture]\nna_list = 1e-12\nn_points = 12\n")
+        assert main(["aperture", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        slit = read_rows(tmp_path / "tradeoff_slit_na1e-12.csv")
+        # a cone of half-angle 1e-12 rad subtends pi 1e-24 sr
+        assert float(slit[-1]["solid_angle_sr"]) == pytest.approx(math.pi * 1e-24, rel=1e-9)
 
     def test_invalid_na_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", "[aperture]\nna_list = 1.2\n")
@@ -312,6 +346,16 @@ class TestEntangleCommand:
         assert f["full"] == pytest.approx(0.884, abs=1e-9)
         for name in ("fringe_z_full.csv", "fringe_x_slit_stop.csv", "counts_z_circular_stop.csv"):
             assert (tmp_path / name).exists()
+
+    def test_smallest_na_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", ENT_FAST + "na = 1e-12\n")
+        assert main(["entangle", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = {r["aperture"]: r for r in read_rows(tmp_path / "fidelity_summary.csv")}
+        omega = {k: float(v["solid_angle_sr"]) for k, v in rows.items()}
+        assert omega["full"] == pytest.approx(math.pi * 1e-24, rel=1e-9)
+        assert omega["circular_stop"] == pytest.approx(omega["full"] / 2, rel=1e-9)
+        assert omega["slit_stop"] == pytest.approx(omega["full"] / 2, rel=1e-9)
 
     def test_unreachable_target_fidelity_fails_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", ENT_FAST + "f_target_full = 0.99\n")

@@ -12,6 +12,7 @@ from ionphoton.geometry import (
     CollectionProbabilities,
     _aperture_moments,
     circular_half_angle_for_na,
+    circular_half_angle_for_solid_angle,
     coherence_overlap,
     collection_probabilities,
     mixing_fidelity,
@@ -76,6 +77,22 @@ class TestSolidAngle:
 
     def test_full_sphere(self):
         assert solid_angle(ApertureSpec.circular(math.pi)) == pytest.approx(4 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha1", [1e-12, 1e-8, 1e-4, 0.01, NA06, 1.0, 2.0, 3.0, math.pi])
+    def test_cone_half_angle_inverts_the_solid_angle(self, alpha1):
+        omega = solid_angle(ApertureSpec.circular(alpha1))
+        assert circular_half_angle_for_solid_angle(omega) == pytest.approx(alpha1, rel=1e-14)
+
+    def test_cone_half_angle_keeps_small_cones(self):
+        # 1 - omega / 2pi rounds to 1 here, so acos(1 - omega / 2pi) gives a zero angle
+        omega = solid_angle(ApertureSpec.circular(1e-12))
+        assert math.acos(1.0 - omega / (2.0 * math.pi)) == 0.0
+        assert circular_half_angle_for_solid_angle(omega / 2.0) == pytest.approx(1e-12 / math.sqrt(2), rel=1e-14)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, 4.0 * math.pi * (1 + 1e-15), math.inf, math.nan])
+    def test_cone_half_angle_rejects_impossible_solid_angle(self, omega):
+        with pytest.raises(ValidationError, match="outside"):
+            circular_half_angle_for_solid_angle(omega)
 
     def test_aperture_validation(self):
         with pytest.raises(ValidationError):
@@ -193,6 +210,18 @@ class TestTradeoffCurve:
         assert eps_slit == pytest.approx(0.0102, abs=5e-4)
         assert eps_circ == pytest.approx(0.0243, abs=5e-4)
         assert eps_slit < eps_circ
+
+    def test_every_anchor_has_its_row(self):
+        # NA 0.6 is also the half-solid-angle stop of NA 0.8; a grid point repeats too
+        half_na08 = circular_half_angle_for_solid_angle(solid_angle(ApertureSpec.circular(math.asin(0.8))) / 2)
+        anchors = (NA06, half_na08, 1.2)
+        curve = tradeoff_curve(1.2, 5, kind="circular", anchors=anchors)
+        assert curve.solid_angles.size == 5 + len(anchors)
+        assert np.all(np.diff(curve.solid_angles) >= 0)
+        assert np.count_nonzero(np.isclose(curve.solid_angles, 0.4 * math.pi, rtol=1e-12)) == 2
+        # the anchor 1.2 is the last grid point, so the alpha1 row is written twice
+        assert curve.solid_angles[-1] == curve.solid_angles[-2] == solid_angle(ApertureSpec.circular(1.2))
+        assert curve.epsilons[-1] == curve.epsilons[-2]
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValidationError):
